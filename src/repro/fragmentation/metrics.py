@@ -77,9 +77,10 @@ def characterize(fragmentation: Fragmentation, *, include_diameter: bool = True)
 
     Args:
         fragmentation: the fragmentation to measure.
-        include_diameter: computing per-fragment diameters costs a BFS per
-            node; disable for very large sweeps where only the table columns
-            are needed.
+        include_diameter: computing per-fragment diameters costs one
+            bit-parallel BFS per fragment, O(D·E) big-integer ORs (see
+            :func:`~repro.graph.hop_diameter`); disable for very large sweeps
+            where only the table columns are needed.
     """
     sizes = [float(size) for size in fragmentation.fragment_sizes()]
     ds_sizes = [float(size) for size in fragmentation.disconnection_set_sizes()]

@@ -2,8 +2,10 @@
 
 These are the building blocks the fragmentation algorithms and the metrics
 module use: fragment growth is a breadth-first expansion from seed nodes, the
-fragmentation graph's cycle analysis needs connected components, and fragment
-diameters are computed with per-source BFS.
+fragmentation graph's cycle analysis needs connected components, and
+:func:`bfs_levels` gives the per-node eccentricity that
+:func:`~repro.graph.shortest_path.hop_diameter` (a bit-parallel BFS from every
+source at once) is checked against.
 """
 
 from __future__ import annotations

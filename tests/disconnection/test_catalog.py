@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.disconnection import DistributedCatalog, precompute_complementary_information
+from repro.disconnection import (
+    DistributedCatalog,
+    FragmentedDatabase,
+    precompute_complementary_information,
+)
 from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
+from repro.graph import DiGraph, hop_diameter
 
 
 @pytest.fixture
@@ -59,3 +64,41 @@ class TestReuseOfComplementaryInformation:
         info = precompute_complementary_information(fragmentation)
         catalog = DistributedCatalog(fragmentation, complementary=info)
         assert catalog.complementary is info
+
+
+def ring_fragmentation():
+    """A six-node two-way ring (fragment 0) bridged to a four-node ring (fragment 1)."""
+    graph = DiGraph()
+    for ring in (list(range(0, 6)), list(range(6, 10))):
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            graph.add_symmetric_edge(a, b)
+    graph.add_symmetric_edge(5, 6)
+    return GroundTruthFragmenter([set(range(0, 6)), set(range(6, 10))]).fragment(graph)
+
+
+class TestIterationEstimateInvalidation:
+    """An in-place site update must drop the cached ``hop_diameter + 1``."""
+
+    def test_dirty_site_recomputes_its_diameter(self):
+        database = FragmentedDatabase(ring_fragmentation(), incremental=True)
+        site = database.engine().catalog.site(0)
+
+        def expected():
+            return hop_diameter(database.fragmentation().fragment_subgraph(0)) + 1
+
+        before = site.local_iterations()
+        assert before == expected()
+
+        database.delete_edge(0, 1, symmetric=True)  # the ring becomes a path
+        assert database.last_delta is not None and 0 in database.last_delta.dirty_fragments
+        assert database.engine().catalog.site(0) is site  # updated in place
+        lengthened = site.local_iterations()
+        assert lengthened == expected()
+        assert lengthened > before
+
+        database.insert_edge(1, 4, 1.0, symmetric=True)  # a chord across the path
+        assert 0 in database.last_delta.dirty_fragments
+        assert database.engine().catalog.site(0) is site
+        shortened = site.local_iterations()
+        assert shortened == expected()
+        assert shortened < lengthened

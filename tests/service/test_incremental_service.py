@@ -5,9 +5,10 @@ import pytest
 from repro.closure import shortest_path_cost
 from repro.fragmentation import GroundTruthFragmenter
 from repro.generators import two_cluster_dumbbell
-from repro.graph import DiGraph
+from repro.graph import DiGraph, hop_diameter
 from repro.incremental import VersionVector
 from repro.service import CachedAnswer, CacheKey, LRUCache, QueryService
+from tests.disconnection.test_catalog import ring_fragmentation
 
 
 def three_fragment_line():
@@ -175,6 +176,37 @@ class TestPoolRepin:
                 )
             assert service._pool is not None
             assert service._pool.repins >= 2
+
+    def test_repin_ships_the_recomputed_iteration_estimate(self):
+        with QueryService(ring_fragmentation(), workers=2) as service:
+            service.query(0, 3)
+            assert service._pool is not None
+            shipped = []
+            repin = service._pool.repin
+
+            def spy(updates):
+                shipped.extend(updates)
+                return repin(updates)
+
+            service._pool.repin = spy
+
+            def expected():
+                return hop_diameter(service.database.fragmentation().fragment_subgraph(0)) + 1
+
+            before = service.engine().catalog.site(0).local_iterations()
+            for edit in (
+                dict(source=0, target=1, delete=True),  # lengthens fragment 0
+                dict(source=1, target=4),  # shortens it again
+            ):
+                shipped.clear()
+                service.update_edge(symmetric=True, **edit)
+                (update,) = [u for u in shipped if u.fragment_id == 0]
+                assert update.estimated_iterations == expected()
+                assert update.estimated_iterations != before
+                before = update.estimated_iterations
+                assert service.query(0, 3).value == shortest_path_cost(
+                    service.database.graph, 0, 3
+                )
 
 
 class TestRespawnInitargs:
