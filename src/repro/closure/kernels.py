@@ -205,6 +205,7 @@ def array_dijkstra(
     *,
     target_ids: Optional[Iterable[int]] = None,
     backward: bool = False,
+    settle_ranks: Optional[Dict[int, int]] = None,
 ) -> Tuple[List[float], List[int], int]:
     """Run Dijkstra over dense ids with flat distance/predecessor arrays.
 
@@ -218,6 +219,12 @@ def array_dijkstra(
             shortest distance *from* id ``i`` *to* ``source_id`` (the
             delta-repair question "how far is every border node from the
             changed edge?").
+        settle_ranks: optional dict filled with ``target_id -> settled``
+            count at the moment that target settled.  A search for any
+            subset of ``target_ids`` settles the same nodes in the same
+            order and stops at the largest rank among its targets, so one
+            search can stand in for several (see
+            :class:`repro.disconnection.SharedRows`).
 
     Returns:
         ``(distances, predecessors, settled)`` where ``distances[i]`` is the
@@ -233,6 +240,8 @@ def array_dijkstra(
     done = bytearray(n)
     remaining = set(target_ids) if target_ids is not None else None
     dist[source_id] = 0.0
+    if remaining is not None and not remaining:
+        return dist, pred, 1  # nothing to wait for: the source alone settles
     heap: List[Tuple[float, int]] = [(0.0, source_id)]
     settled = 0
     while heap:
@@ -241,8 +250,10 @@ def array_dijkstra(
             continue
         done[node_id] = 1
         settled += 1
-        if remaining is not None:
+        if remaining is not None and node_id in remaining:
             remaining.discard(node_id)
+            if settle_ranks is not None:
+                settle_ranks[node_id] = settled
             if not remaining:
                 break
         row = over.get(node_id) if over is not None else None

@@ -12,6 +12,7 @@ from .assembly import (
     assemble_best_chain,
     assemble_chain,
     assemble_chain_with_joins,
+    assemble_chains,
     best_over_chains,
     collect_task_keys,
 )
@@ -26,7 +27,7 @@ from .engine import (
     shortest_path_engine,
 )
 from .hierarchical import BackboneStatistics, HierarchicalEngine
-from .local_query import LocalQueryEvaluator, LocalQueryResult
+from .local_query import LocalQueryEvaluator, LocalQueryResult, SharedRows
 from .maintenance import FragmentedDatabase, UpdateEvent, UpdateStatistics
 from .planner import ChainPlan, LocalQuerySpec, QueryPlan, QueryPlanner
 from .routes import RoutedAnswer, RouteReconstructingEngine
@@ -51,12 +52,14 @@ __all__ = [
     "QueryPlanner",
     "RoutedAnswer",
     "RouteReconstructingEngine",
+    "SharedRows",
     "SiteWork",
     "UpdateEvent",
     "UpdateStatistics",
     "assemble_best_chain",
     "assemble_chain",
     "assemble_chain_with_joins",
+    "assemble_chains",
     "best_over_chains",
     "collect_task_keys",
     "precompute_complementary_information",

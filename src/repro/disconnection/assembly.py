@@ -7,13 +7,18 @@ joined with the path relation of fragment ``i+1`` on the shared disconnection
 set nodes, costs are added, and at the end the best value for the
 (source, destination) pair is selected.
 
-Two equivalent implementations are provided:
+Three implementations are provided:
 
-* :func:`assemble_chain` — a small dynamic program over the chain, valid for
-  any semiring; this is what the engine uses.
+* :func:`assemble_chains` — every chain of a plan at once: a small dynamic
+  program valid for any semiring that memoises the join frontier of each
+  chain prefix, so chains that share leading fragments share their joins;
+  the engine and the query service use it (through
+  :func:`assemble_best_chain`).
+* :func:`assemble_chain` — the same dynamic program for one chain; the
+  reference the prefix-shared form is tested against.
 * :func:`assemble_chain_with_joins` — the literal relational formulation
   (equi-joins + min aggregation) for the shortest-path problem, used in tests
-  to confirm both agree and in the benchmarks to count join work.
+  to confirm it agrees and in the benchmarks to count join work.
 """
 
 from __future__ import annotations
@@ -70,18 +75,9 @@ def assemble_chain(
     # frontier maps a border node reached so far to the best accumulated value.
     frontier: Dict[Node, object] = {plan.source: semiring.one}
     for result in results:
-        next_frontier: Dict[Node, object] = {}
-        for (entry, exit_node), local_value in result.values.items():
-            if entry not in frontier:
-                continue
-            candidate = semiring.times(frontier[entry], local_value)
-            incumbent = next_frontier.get(exit_node)
-            next_frontier[exit_node] = (
-                candidate if incumbent is None else semiring.plus(incumbent, candidate)
-            )
+        frontier = _join(frontier, result, semiring)
         assembly.join_operations += 1
-        assembly.intermediate_tuples += len(next_frontier)
-        frontier = next_frontier
+        assembly.intermediate_tuples += len(frontier)
         if not frontier:
             break
     if plan.target in frontier:
@@ -89,6 +85,22 @@ def assemble_chain(
     elif plan.source == plan.target:
         assembly.value = semiring.one
     return assembly
+
+
+def _join(
+    frontier: Dict[Node, object], result: LocalQueryResult, semiring: Semiring
+) -> Dict[Node, object]:
+    """Extend ``frontier`` through one local result: the exits reached, best value each."""
+    next_frontier: Dict[Node, object] = {}
+    for (entry, exit_node), local_value in result.values.items():
+        if entry not in frontier:
+            continue
+        candidate = semiring.times(frontier[entry], local_value)
+        incumbent = next_frontier.get(exit_node)
+        next_frontier[exit_node] = (
+            candidate if incumbent is None else semiring.plus(incumbent, candidate)
+        )
+    return next_frontier
 
 
 def assemble_chain_with_joins(
@@ -164,6 +176,63 @@ def collect_task_keys(plans: Sequence[QueryPlan]) -> Tuple[List[TaskKey], int]:
     return list(keys), references
 
 
+def assemble_chains(
+    plan: QueryPlan,
+    results_by_key: Dict[TaskKey, LocalQueryResult],
+    *,
+    semiring: Optional[Semiring] = None,
+) -> List[AssemblyResult]:
+    """Assemble every chain of ``plan``, sharing the joins of common prefixes.
+
+    Returns one :class:`AssemblyResult` per chain, in plan order, each equal
+    to what :func:`assemble_chain` gives for that chain alone — including the
+    logical ``join_operations`` and ``intermediate_tuples`` — while each
+    distinct prefix is joined once.  The frontier after the ``k``-th fragment
+    depends on ``chain[:k+1]`` and on the next fragment, which fixes that
+    fragment's exit set; that pair is the memo key.
+    """
+    semiring = semiring or shortest_path_semiring()
+    start: Tuple[Dict[Node, object], int, int] = ({plan.source: semiring.one}, 0, 0)
+    # (prefix, next fragment or None) -> (frontier, joins, tuples) after it.
+    memo: Dict[Tuple[Tuple[int, ...], Optional[int]], Tuple[Dict[Node, object], int, int]] = {}
+    assemblies: List[AssemblyResult] = []
+    for chain_plan in plan.chains:
+        chain = chain_plan.chain
+        state = start
+        for position, spec in enumerate(chain_plan.local_queries):
+            following = chain[position + 1] if position + 1 < len(chain) else None
+            key = (chain[: position + 1], following)
+            joined = memo.get(key)
+            if joined is None:
+                frontier, joins, tuples = state
+                next_frontier = _join(frontier, results_by_key[spec.key()], semiring)
+                joined = memo[key] = (next_frontier, joins + 1, tuples + len(next_frontier))
+            state = joined
+            if not state[0]:
+                break
+        frontier, joins, tuples = state
+        assembly = AssemblyResult(chain=chain, join_operations=joins, intermediate_tuples=tuples)
+        if plan.target in frontier:
+            assembly.value = frontier[plan.target]
+        elif plan.source == plan.target:
+            assembly.value = semiring.one
+        assemblies.append(assembly)
+    return assemblies
+
+
+def best_chain(
+    assemblies: Sequence[AssemblyResult],
+    *,
+    semiring: Optional[Semiring] = None,
+) -> Tuple[Optional[object], Optional[Tuple[int, ...]]]:
+    """Return the best value over ``assemblies`` and the first chain realising it."""
+    best_value = best_over_chains(assemblies, semiring=semiring)
+    for assembly in assemblies:
+        if assembly.value is not None and assembly.value == best_value:
+            return best_value, assembly.chain
+    return best_value, None
+
+
 def assemble_best_chain(
     plan: QueryPlan,
     results_by_key: Dict[TaskKey, LocalQueryResult],
@@ -175,17 +244,8 @@ def assemble_best_chain(
     Returns the best path value over all chains and the chain that realised
     it (``(None, None)`` when no chain yields a path).  ``results_by_key``
     maps :meth:`LocalQuerySpec.key` to the evaluated local result, as
-    produced by the executor pool or the query service.
+    produced by the executor pool or the query service.  Chains that share a
+    prefix share its joins (:func:`assemble_chains`).
     """
     semiring = semiring or shortest_path_semiring()
-    assemblies: List[Tuple[ChainPlan, AssemblyResult]] = []
-    for chain_plan in plan.chains:
-        local_results = [results_by_key[spec.key()] for spec in chain_plan.local_queries]
-        assemblies.append(
-            (chain_plan, assemble_chain(chain_plan, local_results, semiring=semiring))
-        )
-    best_value = best_over_chains([assembly for _, assembly in assemblies], semiring=semiring)
-    for chain_plan, assembly in assemblies:
-        if assembly.value is not None and assembly.value == best_value:
-            return best_value, chain_plan.chain
-    return best_value, None
+    return best_chain(assemble_chains(plan, results_by_key, semiring=semiring), semiring=semiring)

@@ -24,11 +24,11 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from ..closure import Semiring, reachability_semiring, shortest_path_semiring
 from ..exceptions import DisconnectedError, NoChainError
 from ..fragmentation import Fragmentation
-from .assembly import AssemblyResult, assemble_chain, best_over_chains
+from .assembly import AssemblyResult, assemble_chains, best_chain, collect_task_keys
 from .catalog import CompactFragmentSite, DistributedCatalog
 from .complementary import ComplementaryInformation
-from .local_query import LocalQueryEvaluator, LocalQueryResult
-from .planner import ChainPlan, LocalQuerySpec, QueryPlan, QueryPlanner
+from .local_query import LocalQueryEvaluator, LocalQueryResult, SharedRows
+from .planner import LocalQuerySpec, QueryPlan, QueryPlanner
 
 Node = Hashable
 
@@ -214,35 +214,29 @@ class DisconnectionSetEngine:
         return self.execute_plan(plan)
 
     def execute_plan(self, plan: QueryPlan) -> QueryAnswer:
-        """Execute a previously computed :class:`QueryPlan`."""
+        """Execute a previously computed :class:`QueryPlan`.
+
+        Each distinct local subquery runs once, all of them over one
+        :class:`SharedRows`, and chains that share a prefix share its joins.
+        """
         report = ExecutionReport()
         report.planned_fragments = len(plan.fragments_involved())
-        local_cache: Dict[Tuple[int, frozenset, frozenset], LocalQueryResult] = {}
-        assemblies: List[Tuple[ChainPlan, AssemblyResult]] = []
-        for chain_plan in plan.chains:
-            results: List[LocalQueryResult] = []
-            for spec in chain_plan.local_queries:
-                key = spec.key()
-                if key not in local_cache:
-                    site = self._catalog.site(spec.fragment_id)
-                    local_result = self._evaluator.evaluate(site, spec)
-                    local_cache[key] = local_result
-                    report.record_local(local_result)
-                results.append(local_cache[key])
-            assembly = assemble_chain(chain_plan, results, semiring=self._semiring)
+        tasks, _ = collect_task_keys([plan])
+        shared = SharedRows(tasks)
+        results: Dict[Tuple[int, frozenset, frozenset], LocalQueryResult] = {}
+        for key in tasks:
+            site = self._catalog.site(key[0])
+            results[key] = self._evaluator.evaluate(site, LocalQuerySpec(*key), shared=shared)
+            report.record_local(results[key])
+        assemblies = assemble_chains(plan, results, semiring=self._semiring)
+        for assembly in assemblies:
             report.record_assembly(assembly)
-            assemblies.append((chain_plan, assembly))
-        best_value = best_over_chains([assembly for _, assembly in assemblies], semiring=self._semiring)
-        best_chain: Optional[Tuple[int, ...]] = None
-        for chain_plan, assembly in assemblies:
-            if assembly.value is not None and assembly.value == best_value:
-                best_chain = chain_plan.chain
-                break
+        best_value, chain = best_chain(assemblies, semiring=self._semiring)
         return QueryAnswer(
             source=plan.source,
             target=plan.target,
             value=best_value,
-            chain=best_chain,
+            chain=chain,
             report=report,
         )
 

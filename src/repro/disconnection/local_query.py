@@ -16,6 +16,13 @@ dict-based searches (``use_compact=False``, the benchmark baseline) or to a
 restricted semi-naive fixpoint for custom semirings.  The work counters it
 returns (iterations ≈ fragment diameter, tuples produced) feed the parallel
 cost model.
+
+When the fragmentation graph is not loosely connected a query runs over every
+chain of fragments, and the chains' local tasks overlap: one site is asked
+for several (entry set, exit set) pairs that share entry nodes.  A
+:class:`SharedRows` built from all the task keys of one request lets the
+evaluator run the kernels once per site, for the union of that site's entry
+nodes, and answer every task of the site from those rows.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 from time import perf_counter
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..closure import (
     ClosureStatistics,
@@ -40,6 +47,50 @@ Node = Hashable
 PathValue = object
 
 COMPACT_SEMIRINGS = ("shortest_path", "reachability")
+
+TaskKey = Tuple[int, FrozenSet[Node], FrozenSet[Node]]
+
+
+class SharedRows:
+    """Kernel rows shared by the local tasks of one request.
+
+    Built from every task key of one request (a query, a batch, or one
+    worker message) and passed to one evaluator's
+    :meth:`LocalQueryEvaluator.evaluate` with each of them.  The first task that reaches a site computes rows for the
+    union of the entry nodes of all that site's tasks; the site's later
+    tasks read them.  Reachability makes one ``reachability_rows`` call with
+    the union of the exits as its stop mask; shortest paths run one
+    ``array_dijkstra`` per distinct entry, targeting the union of the exits
+    of the tasks that start there.  The object lives only as long as the
+    request: nothing in it survives a write.
+    """
+
+    def __init__(self, tasks: Iterable[TaskKey]) -> None:
+        self._tasks: Set[TaskKey] = set(tasks)
+        # fragment -> the (entry set, exit set) of each of its tasks.
+        self._site_tasks: Dict[int, List[Tuple[FrozenSet[Node], FrozenSet[Node]]]] = {}
+        for fragment_id, entry_nodes, exit_nodes in self._tasks:
+            self._site_tasks.setdefault(fragment_id, []).append((entry_nodes, exit_nodes))
+        # fragment -> (rows by entry id, backend), filled by the evaluator.
+        self._rows: Dict[int, Tuple[Dict[int, object], Optional[str]]] = {}
+        # (fragment, node set) -> the set's nodes the site's graph knows, with ids.
+        self._resolved: Dict[Tuple[int, FrozenSet[Node]], List[Tuple[Node, int]]] = {}
+
+    def __contains__(self, task: TaskKey) -> bool:
+        return task in self._tasks
+
+    def _resolve(self, graph, fragment_id: int, nodes: FrozenSet[Node]) -> List[Tuple[Node, int]]:
+        """Pair each node of ``nodes`` the site's compact graph knows with its dense id."""
+        key = (fragment_id, nodes)
+        resolved = self._resolved.get(key)
+        if resolved is None:
+            resolved = self._resolved[key] = [
+                (node, node_id)
+                for node in nodes
+                for node_id in (graph.try_node_id(node),)
+                if node_id >= 0
+            ]
+        return resolved
 
 
 @dataclass
@@ -137,7 +188,11 @@ class LocalQueryEvaluator:
         return self._semiring
 
     def evaluate(
-        self, site: FragmentSite | CompactFragmentSite, spec: LocalQuerySpec
+        self,
+        site: FragmentSite | CompactFragmentSite,
+        spec: LocalQuerySpec,
+        *,
+        shared: Optional[SharedRows] = None,
     ) -> LocalQueryResult:
         """Evaluate ``spec`` on ``site`` and return the entry-to-exit path values.
 
@@ -145,6 +200,21 @@ class LocalQueryEvaluator:
         measurement happens in whichever process runs the kernel — a worker's
         in-process timing ships back with the result, needing no clock
         agreement with the coordinator.
+
+        ``shared`` is the request's :class:`SharedRows`, built from every task
+        key of the request (``spec`` among them); the compact kernels then
+        run once per site for all of the request's tasks there, and the
+        first task to reach the site carries their time.  Without it the
+        task is a request of its own.  Values are those a search for this
+        task alone would give, and so is the per-task shortest-path
+        ``tuples_produced`` (nodes settled).  A reachability task counts the
+        nodes of its shared rows: the dispatcher picks the backend for the
+        site's whole fan-out, and a big-int row searched against the union
+        stop mask may cover more nodes than the task's own search would.
+        Custom semirings and the dict path ignore ``shared``.
+
+        Raises:
+            ValueError: when ``shared`` was not built with ``spec``'s key.
         """
         started = perf_counter()
         result = LocalQueryResult(fragment_id=site.fragment_id, semiring=self._semiring)
@@ -154,7 +224,11 @@ class LocalQueryEvaluator:
                 f"a compact fragment site only supports the {COMPACT_SEMIRINGS} semirings"
             )
         if (self._use_compact or compact_only) and self._semiring.name in COMPACT_SEMIRINGS:
-            result = self._evaluate_compact(site, spec, result)
+            if shared is None:
+                shared = SharedRows([spec.key()])
+            elif spec.key() not in shared:
+                raise ValueError(f"task {spec.key()!r} is not one of the shared rows' tasks")
+            result = self._evaluate_compact(site, spec, result, shared)
         else:
             result = self._evaluate_dict(site, spec, result)
         result.statistics.elapsed_seconds = perf_counter() - started
@@ -167,36 +241,22 @@ class LocalQueryEvaluator:
         site: FragmentSite | CompactFragmentSite,
         spec: LocalQuerySpec,
         result: LocalQueryResult,
+        shared: SharedRows,
     ) -> LocalQueryResult:
         graph = site.compact(use_shortcuts=self._use_shortcuts)
         result.overlay = graph.has_overlay()
         result.estimated_iterations = site.local_iterations()
-        entries = [
-            (node, node_id)
-            for node in spec.entry_nodes
-            for node_id in (graph.try_node_id(node),)
-            if node_id >= 0
-        ]
-        exits = [
-            (node, node_id)
-            for node in spec.exit_nodes
-            for node_id in (graph.try_node_id(node),)
-            if node_id >= 0
-        ]
+        entries = shared._resolve(graph, site.fragment_id, spec.entry_nodes)
+        exits = shared._resolve(graph, site.fragment_id, spec.exit_nodes)
         if not entries or not exits:
             return result
-        if self._semiring.name == "reachability":
-            exit_mask = 0
-            for _, exit_id in exits:
-                exit_mask |= 1 << exit_id
-            rows, chosen = reachability_rows(
-                graph,
-                [entry_id for _, entry_id in entries],
-                backend=self._backend,
-                context="local_query",
-                stop_mask=exit_mask,
+        site_rows = shared._rows.get(site.fragment_id)
+        if site_rows is None:
+            site_rows = shared._rows[site.fragment_id] = self._site_rows(
+                graph, site.fragment_id, shared
             )
-            result.backend = chosen
+        rows, result.backend = site_rows
+        if self._semiring.name == "reachability":
             for entry, entry_id in entries:
                 visited = rows[entry_id]
                 produced = 0
@@ -206,17 +266,51 @@ class LocalQueryEvaluator:
                         produced += 1
                 result.statistics.record_round(visited.bit_count(), produced)
         else:
-            result.backend = "dijkstra"
-            target_ids = [exit_id for _, exit_id in exits]
             for entry, entry_id in entries:
-                distances, _, settled = array_dijkstra(graph, entry_id, target_ids=target_ids)
+                distances, ranks, total = rows[entry_id]
+                # A search for this task alone stops when its last exit
+                # settles, or runs out when one is unreachable.
+                settled = 0
                 produced = 0
                 for exit_node, exit_id in exits:
+                    rank = ranks.get(exit_id, total)
+                    if rank > settled:
+                        settled = rank
                     if distances[exit_id] != inf:
                         result.values[(entry, exit_node)] = distances[exit_id]
                         produced += 1
                 result.statistics.record_round(settled, produced)
         return result
+
+    def _site_rows(
+        self, graph, fragment_id: int, shared: SharedRows
+    ) -> Tuple[Dict[int, object], Optional[str]]:
+        """Run the kernels once for every entry node of the site's tasks."""
+        # entry id -> exit ids of the tasks that start there.
+        targets: Dict[int, Set[int]] = {}
+        for entries, exits in shared._site_tasks[fragment_id]:
+            exit_ids = [exit_id for _, exit_id in shared._resolve(graph, fragment_id, exits)]
+            for _, entry_id in shared._resolve(graph, fragment_id, entries):
+                targets.setdefault(entry_id, set()).update(exit_ids)
+        if self._semiring.name == "reachability":
+            stop_mask = 0
+            for exit_id in set().union(*targets.values()):
+                stop_mask |= 1 << exit_id
+            return reachability_rows(
+                graph,
+                list(targets),
+                backend=self._backend,
+                context="local_query",
+                stop_mask=stop_mask,
+            )
+        rows: Dict[int, object] = {}
+        for entry_id, exit_ids in targets.items():
+            ranks: Dict[int, int] = {}
+            distances, _, total = array_dijkstra(
+                graph, entry_id, target_ids=exit_ids, settle_ranks=ranks
+            )
+            rows[entry_id] = (distances, ranks, total)
+        return rows, "dijkstra"
 
     # ------------------------------------------------- dict-based strategies
 
@@ -284,3 +378,4 @@ class LocalQueryEvaluator:
         for (source, target), value in closure.values.items():
             if target in exit_nodes:
                 result.values[(source, target)] = value
+

@@ -50,7 +50,7 @@ from ..closure import (
     reachability_semiring,
     shortest_path_semiring,
 )
-from ..disconnection import LocalQueryEvaluator, LocalQueryResult
+from ..disconnection import LocalQueryEvaluator, LocalQueryResult, SharedRows
 from ..disconnection.catalog import CompactFragmentSite, DistributedCatalog
 from ..disconnection.planner import LocalQuerySpec
 from ..graph.compact import CompactDelta, merge_overlay_metrics
@@ -438,6 +438,7 @@ def _routed_worker_loop(
                 # trace each worker's kernel spans were timed under.
                 trace_id = message[3] if len(message) > 3 else None
                 payloads = []
+                shared = SharedRows(tasks)
                 for task in tasks:
                     fragment_id, entry_nodes, exit_nodes = task
                     if fragment_id not in sites:
@@ -447,7 +448,7 @@ def _routed_worker_loop(
                     spec = LocalQuerySpec(
                         fragment_id=fragment_id, entry_nodes=entry_nodes, exit_nodes=exit_nodes
                     )
-                    result = evaluator.evaluate(sites[fragment_id], spec)
+                    result = evaluator.evaluate(sites[fragment_id], spec, shared=shared)
                     kernel_seconds.observe(
                         result.statistics.elapsed_seconds,
                         worker=worker_index,

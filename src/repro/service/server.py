@@ -63,6 +63,7 @@ from ..disconnection import (
     LocalQueryEvaluator,
     LocalQueryResult,
     QueryPlanner,
+    SharedRows,
     assemble_best_chain,
     collect_task_keys,
 )
@@ -1394,6 +1395,7 @@ class QueryService:
                 kernel_tasks: Dict[int, int] = {}
                 kernel_backends: Dict[int, Optional[str]] = {}
                 kernel_overlays: Dict[int, bool] = {}
+                shared = SharedRows(tasks)
                 for key in tasks:
                     fragment_id, entry_nodes, exit_nodes = key
                     spec = LocalQuerySpec(
@@ -1402,7 +1404,7 @@ class QueryService:
                         exit_nodes=exit_nodes,
                     )
                     result = self._evaluator.evaluate(
-                        engine.catalog.site(fragment_id), spec
+                        engine.catalog.site(fragment_id), spec, shared=shared
                     )
                     results[key] = result
                     if tracing:

@@ -13,7 +13,9 @@ rather than pickling live engine objects: the wire format stays inspectable,
 stable across refactors of the in-memory classes, and restricted to the two
 standard semirings whose values (floats / booleans) serialise losslessly.
 The manifest carries a content hash that doubles as the catalog version for
-the result cache.
+the result cache, and the SHA-256 of the raw payload bytes: a load checks
+those bytes against it before unpickling anything, so a corrupt or swapped
+payload is refused without running it.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ class SnapshotManifest:
         fragment_count / node_count / edge_count / complementary_facts:
             size figures (the paper's storage-overhead accounting).
         format: payload format tag, checked on load.
+        payload_sha256: SHA-256 of the raw payload file, checked on load
+            before the payload is unpickled.
     """
 
     version: str
@@ -102,6 +106,7 @@ class SnapshotManifest:
     edge_count: int
     complementary_facts: int
     format: str = SNAPSHOT_FORMAT
+    payload_sha256: str = ""
 
     def as_dict(self) -> Dict[str, object]:
         """Return the manifest as a JSON-serialisable dictionary."""
@@ -114,6 +119,7 @@ class SnapshotManifest:
             "node_count": self.node_count,
             "edge_count": self.edge_count,
             "complementary_facts": self.complementary_facts,
+            "payload_sha256": self.payload_sha256,
         }
 
     @classmethod
@@ -128,6 +134,7 @@ class SnapshotManifest:
             edge_count=int(document["edge_count"]),  # type: ignore[arg-type]
             complementary_facts=int(document["complementary_facts"]),  # type: ignore[arg-type]
             format=str(document.get("format", SNAPSHOT_FORMAT)),
+            payload_sha256=str(document.get("payload_sha256", "")),
         )
 
 
@@ -245,6 +252,7 @@ def save_snapshot(
         placement=placement,
         delta_sequence=delta_sequence,
     )
+    payload_bytes = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     manifest = SnapshotManifest(
         version=compute_version(payload),
         semiring_name=payload.semiring_name,
@@ -253,10 +261,11 @@ def save_snapshot(
         node_count=len(payload.nodes),
         edge_count=len(payload.edges),
         complementary_facts=sum(len(values) for values in payload.complementary_values.values()),
+        payload_sha256=hashlib.sha256(payload_bytes).hexdigest(),
     )
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
-    (target / PAYLOAD_FILE).write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    (target / PAYLOAD_FILE).write_bytes(payload_bytes)
     (target / MANIFEST_FILE).write_text(json.dumps(manifest.as_dict(), indent=2, sort_keys=True))
     return manifest
 
@@ -270,9 +279,14 @@ def is_snapshot_directory(directory: PathLike) -> bool:
 def load_snapshot(directory: PathLike) -> LoadedSnapshot:
     """Reload a snapshot directory into a ready-to-query state.
 
+    The payload's bytes are checked against the manifest's
+    ``payload_sha256`` before they are unpickled; unpickling runs code, so
+    bytes the manifest does not vouch for are never loaded.
+
     Raises:
-        SnapshotError: when the directory is not a snapshot or its format tag
-            is not understood.
+        SnapshotError: when the directory is not a snapshot, its format tag
+            is not understood, the manifest records no payload hash, or the
+            payload does not match the manifest.
     """
     target = Path(directory)
     if not is_snapshot_directory(target):
@@ -282,7 +296,20 @@ def load_snapshot(directory: PathLike) -> LoadedSnapshot:
         raise SnapshotError(
             f"snapshot format {manifest.format!r} is not supported (expected {SNAPSHOT_FORMAT!r})"
         )
-    payload: SnapshotPayload = pickle.loads((target / PAYLOAD_FILE).read_bytes())
+    if not manifest.payload_sha256:
+        raise SnapshotError(
+            f"snapshot manifest in {target} records no payload_sha256; the payload is not "
+            "loaded without it"
+        )
+    raw = (target / PAYLOAD_FILE).read_bytes()
+    actual_sha256 = hashlib.sha256(raw).hexdigest()
+    if actual_sha256 != manifest.payload_sha256:
+        raise SnapshotError(
+            f"snapshot payload does not match its manifest (payload bytes hash to "
+            f"{actual_sha256}, manifest says {manifest.payload_sha256}) — the directory "
+            "is corrupt or mixes files from different snapshots"
+        )
+    payload: SnapshotPayload = pickle.loads(raw)
     actual_version = compute_version(payload)
     if actual_version != manifest.version:
         raise SnapshotError(

@@ -1,8 +1,11 @@
 """Tests for the snapshot store (prepare once, reload per process)."""
 
+import json
+
 import pytest
 
 import repro.disconnection.catalog as catalog_module
+import repro.service.snapshot as snapshot_module
 from repro.closure import reachability_semiring, widest_path_semiring
 from repro.disconnection import DisconnectionSetEngine
 from repro.fragmentation import GroundTruthFragmenter
@@ -87,6 +90,37 @@ class TestSnapshotValidation:
         (tmp_path / "a" / "payload.pkl").write_bytes((tmp_path / "b" / "payload.pkl").read_bytes())
         with pytest.raises(SnapshotError, match="does not match its manifest"):
             load_snapshot(tmp_path / "a")
+
+    def test_rejects_flipped_payload_bytes_before_unpickling(self, prepared, tmp_path, monkeypatch):
+        _, _, engine = prepared
+        save_snapshot(tmp_path / "snap", engine)
+        payload = tmp_path / "snap" / "payload.pkl"
+        raw = bytearray(payload.read_bytes())
+        for index in (len(raw) // 3, len(raw) // 2):
+            raw[index] ^= 0xFF
+        payload.write_bytes(bytes(raw))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle.loads ran on unverified snapshot bytes")
+
+        monkeypatch.setattr(snapshot_module.pickle, "loads", refuse)
+        with pytest.raises(SnapshotError, match="does not match its manifest"):
+            load_snapshot(tmp_path / "snap")
+
+    def test_rejects_manifest_without_payload_hash(self, prepared, tmp_path, monkeypatch):
+        _, _, engine = prepared
+        save_snapshot(tmp_path / "snap", engine)
+        manifest_path = tmp_path / "snap" / "manifest.json"
+        document = json.loads(manifest_path.read_text())
+        del document["payload_sha256"]
+        manifest_path.write_text(json.dumps(document))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle.loads ran on unverified snapshot bytes")
+
+        monkeypatch.setattr(snapshot_module.pickle, "loads", refuse)
+        with pytest.raises(SnapshotError, match="payload_sha256"):
+            load_snapshot(tmp_path / "snap")
 
     def test_rejects_nonstandard_semiring(self, prepared, tmp_path):
         _, fragmentation, _ = prepared
